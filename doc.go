@@ -147,6 +147,13 @@
 // Options.Partition picks the mutation-routing policy (hash-by-id default,
 // round-robin option); it is persisted in the shard manifest.
 //
+// A Tree is the single-file, one-shard case of the same index: Tree and
+// Sharded share one implementation of every mutation, query, stats, scrub,
+// merge-ingest and lifecycle method. They differ only in the on-disk
+// layout (a Tree keeps one page file plus path + ".wal" and no manifest)
+// and in the statistics type of the context-aware queries (QueryStats for
+// a Tree, ShardedQueryStats with the per-shard breakdown for a Sharded).
+//
 // # Serving over the network
 //
 // The cmd/gaussd daemon serves any durable index (page file or sharded
@@ -245,8 +252,8 @@
 // Tuning: Options.CacheBytes sets the buffer cache budget (default 50 MB,
 // the paper's setup; gaussd -cache-mb) and Options.CacheShards the shard
 // count (default automatic; gaussd -cache-shards). gaussd -ops-addr
-// exposes net/http/pprof (with /metrics; -pprof remains as a deprecated
-// alias) on a separate loopback-only listener for profiling the serving
+// exposes net/http/pprof (with /metrics) on a separate loopback-only
+// listener for profiling the serving
 // hot path in place. BENCH_PR5.json records the measured
 // before/after of the caching design (≈ 3× fewer allocations and ≈ 35% less
 // CPU per cached query) and BENCH_PR6.json the columnar-leaf overhaul on
@@ -281,7 +288,8 @@
 //	          deadlines, batch execution, graceful drain, the degraded-
 //	          mode supervisor and the background scrubber
 //
-// This package is the public façade over core (Tree) and shard (Sharded);
-// the client package is the public façade over the wire format. It is safe
+// This package is the public façade over shard and core: Tree and Sharded
+// embed one implementation over a shard engine (one shard for a Tree, n
+// for a Sharded); the client package is the public façade over the wire format. It is safe
 // for concurrent use: readers proceed in parallel, writers are exclusive.
 package gausstree

@@ -3,6 +3,7 @@ package gausstree_test
 import (
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -435,6 +436,42 @@ func TestNewRejectsExistingIndex(t *testing.T) {
 	defer re.Close()
 	if re.Len() != 1 {
 		t.Errorf("index damaged by rejected New: Len = %d", re.Len())
+	}
+}
+
+// TestNewFailureLeavesNoDebris: a New that fails after creating its page
+// file must remove it again, so a retry at the same path succeeds instead
+// of being refused as an existing index.
+func TestNewFailureLeavesNoDebris(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "retry.gtree")
+	if err := os.Mkdir(path+".wal", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if tree, err := gausstree.New(2, gausstree.Options{Path: path}); err == nil {
+		tree.Close()
+		t.Fatal("New with a directory at the WAL path succeeded")
+	}
+	if err := os.Remove(path + ".wal"); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := gausstree.New(2, gausstree.Options{Path: path})
+	if err != nil {
+		t.Fatalf("retry after a failed New: %v", err)
+	}
+	v := gausstree.MustVector(1, []float64{1, 2}, []float64{0.1, 0.1})
+	if err := tree.Insert(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := gausstree.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 1 {
+		t.Errorf("reopened Len = %d, want 1", re.Len())
 	}
 }
 

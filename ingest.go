@@ -6,12 +6,12 @@ import (
 	"math"
 	"time"
 
-	"github.com/gauss-tree/gausstree/internal/core"
 	"github.com/gauss-tree/gausstree/internal/pfv"
+	"github.com/gauss-tree/gausstree/internal/shard"
 )
 
-// IngestOptions switch a Tree into online merge-ingest mode (FROSS-style
-// continuous ingestion): instead of letting a stream of repeated
+// IngestOptions switch an index, a Tree or a Sharded, into online
+// merge-ingest mode (FROSS-style continuous ingestion): instead of letting a stream of repeated
 // observations grow the tree without bound, Insert first probes for the
 // most likely already-stored Gaussian and, when it is within MergeDistance,
 // folds the new observation into it by moment matching — the stored object
@@ -36,7 +36,7 @@ type IngestOptions struct {
 }
 
 // IngestStats are cumulative counters of merge-ingest mode; see
-// Tree.IngestStats.
+// Tree.IngestStats and Sharded.IngestStats.
 type IngestStats struct {
 	// Inserted counts observations stored as new objects.
 	Inserted uint64
@@ -56,15 +56,22 @@ type ingestEntry struct {
 	seen   time.Time
 }
 
-// ingester implements merge-or-insert. All its state is guarded by the
-// owning Tree's writer mutex — every method is called with it held.
+// ingester implements merge-or-insert over every shard of an index. All its
+// state is guarded by the owning index's writer mutex — every method is
+// called with it held.
 type ingester struct {
 	opts    IngestOptions
 	entries map[uint64]*ingestEntry
 	stats   IngestStats
 }
 
-func newIngester(opts IngestOptions) (*ingester, error) {
+// newIngester validates the merge-ingest options; nil options mean no
+// merge-ingest mode and yield a nil ingester.
+func newIngester(o *IngestOptions) (*ingester, error) {
+	if o == nil {
+		return nil, nil
+	}
+	opts := *o
 	if !(opts.MergeDistance > 0) || math.IsInf(opts.MergeDistance, 0) {
 		return nil, fmt.Errorf("%w: IngestOptions.MergeDistance must be a positive finite number, got %v", ErrInvalidOptions, opts.MergeDistance)
 	}
@@ -77,30 +84,30 @@ func newIngester(opts IngestOptions) (*ingester, error) {
 // seed rebuilds the bookkeeping from the stored vectors (after Open or
 // BulkLoad). Pre-existing objects start with weight 1 — their merge history
 // is not persisted — and a fresh TTL clock.
-func (g *ingester) seed(tr *core.Tree) error {
+func (g *ingester) seed(eng *shard.Engine) error {
 	now := time.Now()
-	g.entries = make(map[uint64]*ingestEntry, tr.Len())
-	return tr.ForEach(func(v pfv.Vector) error {
+	g.entries = make(map[uint64]*ingestEntry, eng.Len())
+	return eng.ForEach(func(v pfv.Vector) error {
 		g.entries[v.ID] = &ingestEntry{vec: v, weight: 1, seen: now}
 		return nil
 	})
 }
 
 // insert merges v into its most likely stored near-duplicate or inserts it.
-// The context bounds the near-duplicate probe (a k=1 likelihood query); the
-// mutation itself is not cancellable once it starts.
-func (g *ingester) insert(ctx context.Context, tr *core.Tree, v Vector) error {
-	res, _, err := tr.KMLIQRanked(ctx, v, 1)
+// The context bounds the near-duplicate probe (a k=1 likelihood query across
+// all shards); the mutation itself is not cancellable once it starts.
+func (g *ingester) insert(ctx context.Context, eng *shard.Engine, v Vector) error {
+	res, _, err := eng.KMLIQRanked(ctx, v, 1)
 	if err != nil {
 		return err
 	}
 	if len(res) == 1 {
 		stored := res[0].Vector
 		if normMahalanobisSq(stored, v) <= g.opts.MergeDistance*g.opts.MergeDistance {
-			return g.merge(tr, stored, v)
+			return g.merge(eng, stored, v)
 		}
 	}
-	if err := tr.Insert(v); err != nil {
+	if err := eng.Insert(v); err != nil {
 		return err
 	}
 	// Merge-ingest treats ids as object identities: a re-used id rebinds
@@ -111,8 +118,8 @@ func (g *ingester) insert(ctx context.Context, tr *core.Tree, v Vector) error {
 }
 
 // merge folds observation obs into the stored Gaussian and replaces it
-// in-place in the tree (one logged, snapshot-published mutation).
-func (g *ingester) merge(tr *core.Tree, stored, obs Vector) error {
+// in-place on its owning shard (one logged, snapshot-published mutation).
+func (g *ingester) merge(eng *shard.Engine, stored, obs Vector) error {
 	e := g.entries[stored.ID]
 	if e == nil {
 		// Stored object predates this ingester's view (shouldn't happen
@@ -124,14 +131,14 @@ func (g *ingester) merge(tr *core.Tree, stored, obs Vector) error {
 	if err != nil {
 		return err
 	}
-	ok, err := tr.Replace(stored, merged)
+	ok, err := eng.Replace(stored, merged)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		// The probed vector is gone (stale bookkeeping); store the
 		// observation as a fresh object instead.
-		if err := tr.Insert(obs); err != nil {
+		if err := eng.Insert(obs); err != nil {
 			return err
 		}
 		g.entries[obs.ID] = &ingestEntry{vec: obs, weight: 1, seen: time.Now()}
@@ -201,52 +208,49 @@ func mergeGaussians(stored, obs Vector, w float64) (Vector, error) {
 
 // SweepExpired removes every stored object whose last observation is older
 // than IngestOptions.TTL and returns how many were removed. It is a no-op
-// (0, nil) when the tree is not in merge-ingest mode or TTL is 0. Like all
+// (0, nil) when the index is not in merge-ingest mode or TTL is 0. Like all
 // mutations it runs under the writer lock without blocking readers, and
 // returns once the deletions are durable.
-func (t *Tree) SweepExpired() (int, error) {
-	t.mu.Lock()
-	st := t.st.Load()
-	if st == nil {
-		t.mu.Unlock()
-		return 0, ErrClosed
+func (x *index) SweepExpired() (int, error) {
+	st, err := x.lockedState()
+	if err != nil {
+		return 0, err
 	}
-	if t.ing == nil || t.ing.opts.TTL <= 0 {
-		t.mu.Unlock()
+	if x.ing == nil || x.ing.opts.TTL <= 0 {
+		x.mu.Unlock()
 		return 0, nil
 	}
-	cutoff := time.Now().Add(-t.ing.opts.TTL)
+	cutoff := time.Now().Add(-x.ing.opts.TTL)
 	removed := 0
-	var err error
-	for id, e := range t.ing.entries {
+	for id, e := range x.ing.entries {
 		if !e.seen.Before(cutoff) {
 			continue
 		}
 		var found bool
-		found, err = st.tree.Delete(e.vec)
+		found, err = st.eng.Delete(e.vec)
 		if err != nil {
 			break
 		}
-		delete(t.ing.entries, id)
+		delete(x.ing.entries, id)
 		if found {
 			removed++
-			t.ing.stats.Swept++
+			x.ing.stats.Swept++
 		}
 	}
-	t.mu.Unlock()
+	x.mu.Unlock()
 	if err != nil {
 		return removed, err
 	}
-	return removed, st.tree.WaitDurable()
+	return removed, x.waitDurable(st)
 }
 
 // IngestStats reports the cumulative merge-ingest counters; ok is false
-// when the tree is not in merge-ingest mode.
-func (t *Tree) IngestStats() (stats IngestStats, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.ing == nil {
+// when the index is not in merge-ingest mode.
+func (x *index) IngestStats() (stats IngestStats, ok bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.ing == nil {
 		return IngestStats{}, false
 	}
-	return t.ing.stats, true
+	return x.ing.stats, true
 }

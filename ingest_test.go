@@ -1,9 +1,11 @@
 package gausstree_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,204 +24,350 @@ func observe(r *rand.Rand, base gausstree.Vector) gausstree.Vector {
 	return gausstree.MustVector(base.ID, mean, sigma)
 }
 
-func TestIngestMergesNearDuplicates(t *testing.T) {
-	tree, err := gausstree.New(2, gausstree.Options{
-		PageSize: 1024,
-		Ingest:   &gausstree.IngestOptions{MergeDistance: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
+// ingestIndex is the index API the merge-ingest tests drive; Tree and
+// Sharded both provide it.
+type ingestIndex interface {
+	Insert(gausstree.Vector) error
+	InsertAll([]gausstree.Vector) (int, error)
+	Len() int
+	KMostLikely(gausstree.Vector, int) ([]gausstree.Match, error)
+	CheckInvariants() error
+	IngestStats() (gausstree.IngestStats, bool)
+	SweepExpired() (int, error)
+	Close() error
+}
 
-	r := rand.New(rand.NewSource(1))
-	// Three well-separated objects, each observed 50 times.
-	bases := []gausstree.Vector{
-		gausstree.MustVector(1, []float64{0, 0}, []float64{0.5, 0.5}),
-		gausstree.MustVector(2, []float64{100, 0}, []float64{0.5, 0.5}),
-		gausstree.MustVector(3, []float64{0, 100}, []float64{0.5, 0.5}),
-	}
-	for round := 0; round < 50; round++ {
-		for _, b := range bases {
-			if err := tree.Insert(observe(r, b)); err != nil {
-				t.Fatal(err)
+// ingestLayout builds and reopens one kind of index.
+type ingestLayout struct {
+	name   string
+	create func(dim int, o gausstree.Options) (ingestIndex, error)
+	open   func(path string, o gausstree.Options) (ingestIndex, error)
+}
+
+// ingestLayouts are the indexes every merge-ingest test runs against: a
+// Tree and a 3-shard Sharded, so a merge must find its near-duplicate on
+// whichever shard holds it.
+var ingestLayouts = []ingestLayout{
+	{
+		name: "tree",
+		create: func(dim int, o gausstree.Options) (ingestIndex, error) {
+			t, err := gausstree.New(dim, o)
+			if err != nil {
+				return nil, err
 			}
-		}
+			return t, nil
+		},
+		open: func(path string, o gausstree.Options) (ingestIndex, error) {
+			t, err := gausstree.Open(path, o)
+			if err != nil {
+				return nil, err
+			}
+			return t, nil
+		},
+	},
+	{
+		name: "sharded3",
+		create: func(dim int, o gausstree.Options) (ingestIndex, error) {
+			s, err := gausstree.NewSharded(dim, 3, o)
+			if err != nil {
+				return nil, err
+			}
+			return s, nil
+		},
+		open: func(path string, o gausstree.Options) (ingestIndex, error) {
+			s, err := gausstree.OpenSharded(path, o)
+			if err != nil {
+				return nil, err
+			}
+			return s, nil
+		},
+	},
+}
+
+// forEachIngestLayout runs fn as one subtest per index layout.
+func forEachIngestLayout(t *testing.T, fn func(t *testing.T, l ingestLayout)) {
+	for _, l := range ingestLayouts {
+		t.Run(l.name, func(t *testing.T) { fn(t, l) })
 	}
-	if got := tree.Len(); got != len(bases) {
-		t.Fatalf("Len = %d after 150 observations of 3 objects, want 3", got)
-	}
-	st, ok := tree.IngestStats()
-	if !ok {
-		t.Fatal("IngestStats not available in ingest mode")
-	}
-	if st.Inserted != 3 || st.Merged != 147 {
-		t.Fatalf("stats = %+v, want 3 inserted / 147 merged", st)
-	}
-	// The merged Gaussians still identify their objects.
-	for _, b := range bases {
-		ms, err := tree.KMostLikely(observe(r, b), 1)
+}
+
+func TestIngestMergesNearDuplicates(t *testing.T) {
+	forEachIngestLayout(t, func(t *testing.T, l ingestLayout) {
+		tree, err := l.create(2, gausstree.Options{
+			PageSize: 1024,
+			Ingest:   &gausstree.IngestOptions{MergeDistance: 2},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ms) != 1 || ms[0].Vector.ID != b.ID {
-			t.Fatalf("query near object %d matched %+v", b.ID, ms)
+		defer tree.Close()
+
+		r := rand.New(rand.NewSource(1))
+		// Three well-separated objects, each observed 50 times.
+		bases := []gausstree.Vector{
+			gausstree.MustVector(1, []float64{0, 0}, []float64{0.5, 0.5}),
+			gausstree.MustVector(2, []float64{100, 0}, []float64{0.5, 0.5}),
+			gausstree.MustVector(3, []float64{0, 100}, []float64{0.5, 0.5}),
 		}
-		// Moment matching keeps the mean near the true center and σ
-		// positive and bounded (it absorbs spread, never collapses).
-		for i := range b.Mean {
-			if math.Abs(ms[0].Vector.Mean[i]-b.Mean[i]) > 3*b.Sigma[i] {
-				t.Fatalf("object %d merged mean %v drifted from %v", b.ID, ms[0].Vector.Mean, b.Mean)
-			}
-			if !(ms[0].Vector.Sigma[i] > 0) || ms[0].Vector.Sigma[i] > 10*b.Sigma[i] {
-				t.Fatalf("object %d merged sigma %v degenerate", b.ID, ms[0].Vector.Sigma)
+		for round := 0; round < 50; round++ {
+			for _, b := range bases {
+				if err := tree.Insert(observe(r, b)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
+		if got := tree.Len(); got != len(bases) {
+			t.Fatalf("Len = %d after 150 observations of 3 objects, want 3", got)
+		}
+		st, ok := tree.IngestStats()
+		if !ok {
+			t.Fatal("IngestStats not available in ingest mode")
+		}
+		if st.Inserted != 3 || st.Merged != 147 {
+			t.Fatalf("stats = %+v, want 3 inserted / 147 merged", st)
+		}
+		// The merged Gaussians still identify their objects.
+		for _, b := range bases {
+			ms, err := tree.KMostLikely(observe(r, b), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) != 1 || ms[0].Vector.ID != b.ID {
+				t.Fatalf("query near object %d matched %+v", b.ID, ms)
+			}
+			// Moment matching keeps the mean near the true center and σ
+			// positive and bounded (it absorbs spread, never collapses).
+			for i := range b.Mean {
+				if math.Abs(ms[0].Vector.Mean[i]-b.Mean[i]) > 3*b.Sigma[i] {
+					t.Fatalf("object %d merged mean %v drifted from %v", b.ID, ms[0].Vector.Mean, b.Mean)
+				}
+				if !(ms[0].Vector.Sigma[i] > 0) || ms[0].Vector.Sigma[i] > 10*b.Sigma[i] {
+					t.Fatalf("object %d merged sigma %v degenerate", b.ID, ms[0].Vector.Sigma)
+				}
+			}
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestIngestDistantObservationsInsert(t *testing.T) {
-	tree, err := gausstree.New(2, gausstree.Options{
-		PageSize: 1024,
-		Ingest:   &gausstree.IngestOptions{MergeDistance: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	for i := 0; i < 50; i++ {
-		// Far apart relative to σ: nothing should merge.
-		v := gausstree.MustVector(uint64(i+1), []float64{float64(i) * 50, 0}, []float64{0.5, 0.5})
-		if err := tree.Insert(v); err != nil {
+	forEachIngestLayout(t, func(t *testing.T, l ingestLayout) {
+		tree, err := l.create(2, gausstree.Options{
+			PageSize: 1024,
+			Ingest:   &gausstree.IngestOptions{MergeDistance: 1},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := tree.Len(); got != 50 {
-		t.Fatalf("Len = %d, want 50 distinct objects", got)
-	}
-	st, _ := tree.IngestStats()
-	if st.Merged != 0 {
-		t.Fatalf("merged %d distant observations, want 0", st.Merged)
-	}
+		defer tree.Close()
+		for i := 0; i < 50; i++ {
+			// Far apart relative to σ: nothing should merge.
+			v := gausstree.MustVector(uint64(i+1), []float64{float64(i) * 50, 0}, []float64{0.5, 0.5})
+			if err := tree.Insert(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tree.Len(); got != 50 {
+			t.Fatalf("Len = %d, want 50 distinct objects", got)
+		}
+		st, _ := tree.IngestStats()
+		if st.Merged != 0 {
+			t.Fatalf("merged %d distant observations, want 0", st.Merged)
+		}
+	})
 }
 
 func TestIngestTTLSweep(t *testing.T) {
-	tree, err := gausstree.New(2, gausstree.Options{
-		PageSize: 1024,
-		Ingest:   &gausstree.IngestOptions{MergeDistance: 2, TTL: 40 * time.Millisecond},
+	forEachIngestLayout(t, func(t *testing.T, l ingestLayout) {
+		tree, err := l.create(2, gausstree.Options{
+			PageSize: 1024,
+			Ingest:   &gausstree.IngestOptions{MergeDistance: 2, TTL: 40 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tree.Close()
+
+		stale := gausstree.MustVector(1, []float64{0, 0}, []float64{0.5, 0.5})
+		if err := tree.Insert(stale); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(60 * time.Millisecond)
+		fresh := gausstree.MustVector(2, []float64{100, 100}, []float64{0.5, 0.5})
+		if err := tree.Insert(fresh); err != nil {
+			t.Fatal(err)
+		}
+
+		removed, err := tree.SweepExpired()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if removed != 1 {
+			t.Fatalf("swept %d objects, want 1 (only the stale one)", removed)
+		}
+		if got := tree.Len(); got != 1 {
+			t.Fatalf("Len = %d after sweep, want 1", got)
+		}
+		st, _ := tree.IngestStats()
+		if st.Swept != 1 {
+			t.Fatalf("stats.Swept = %d, want 1", st.Swept)
+		}
+		// A fresh observation of the swept object re-inserts it.
+		if err := tree.Insert(stale); err != nil {
+			t.Fatal(err)
+		}
+		if got := tree.Len(); got != 2 {
+			t.Fatalf("Len = %d after re-observation, want 2", got)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-
-	stale := gausstree.MustVector(1, []float64{0, 0}, []float64{0.5, 0.5})
-	if err := tree.Insert(stale); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	fresh := gausstree.MustVector(2, []float64{100, 100}, []float64{0.5, 0.5})
-	if err := tree.Insert(fresh); err != nil {
-		t.Fatal(err)
-	}
-
-	removed, err := tree.SweepExpired()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("swept %d objects, want 1 (only the stale one)", removed)
-	}
-	if got := tree.Len(); got != 1 {
-		t.Fatalf("Len = %d after sweep, want 1", got)
-	}
-	st, _ := tree.IngestStats()
-	if st.Swept != 1 {
-		t.Fatalf("stats.Swept = %d, want 1", st.Swept)
-	}
-	// A fresh observation of the swept object re-inserts it.
-	if err := tree.Insert(stale); err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.Len(); got != 2 {
-		t.Fatalf("Len = %d after re-observation, want 2", got)
-	}
 }
 
 func TestIngestSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ingest.gtree")
-	opts := gausstree.Options{
-		Path:     path,
-		PageSize: 1024,
-		Ingest:   &gausstree.IngestOptions{MergeDistance: 2},
-	}
-	tree, err := gausstree.New(2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := gausstree.MustVector(7, []float64{5, 5}, []float64{0.5, 0.5})
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 10; i++ {
-		if err := tree.Insert(observe(r, base)); err != nil {
+	forEachIngestLayout(t, func(t *testing.T, l ingestLayout) {
+		path := filepath.Join(t.TempDir(), "ingest.gtree")
+		opts := gausstree.Options{
+			Path:     path,
+			PageSize: 1024,
+			Ingest:   &gausstree.IngestOptions{MergeDistance: 2},
+		}
+		tree, err := l.create(2, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
+		base := gausstree.MustVector(7, []float64{5, 5}, []float64{0.5, 0.5})
+		r := rand.New(rand.NewSource(2))
+		for i := 0; i < 10; i++ {
+			if err := tree.Insert(observe(r, base)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	re, err := gausstree.Open(path, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 1 {
-		t.Fatalf("reopened Len = %d, want 1", re.Len())
-	}
-	// The re-seeded ingester keeps merging new observations of the same
-	// object instead of duplicating it.
-	for i := 0; i < 10; i++ {
-		if err := re.Insert(observe(r, base)); err != nil {
+		re, err := l.open(path, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if re.Len() != 1 {
-		t.Fatalf("Len = %d after post-reopen observations, want 1", re.Len())
-	}
-	st, ok := re.IngestStats()
-	if !ok || st.Merged != 10 {
-		t.Fatalf("post-reopen stats = %+v (ok %v), want 10 merges", st, ok)
-	}
+		defer re.Close()
+		if re.Len() != 1 {
+			t.Fatalf("reopened Len = %d, want 1", re.Len())
+		}
+		// The re-seeded ingester keeps merging new observations of the same
+		// object instead of duplicating it.
+		for i := 0; i < 10; i++ {
+			if err := re.Insert(observe(r, base)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if re.Len() != 1 {
+			t.Fatalf("Len = %d after post-reopen observations, want 1", re.Len())
+		}
+		st, ok := re.IngestStats()
+		if !ok || st.Merged != 10 {
+			t.Fatalf("post-reopen stats = %+v (ok %v), want 10 merges", st, ok)
+		}
+	})
 }
 
 func TestIngestOptionValidation(t *testing.T) {
-	for _, bad := range []gausstree.IngestOptions{
-		{MergeDistance: 0},
-		{MergeDistance: -1},
-		{MergeDistance: math.Inf(1)},
-		{MergeDistance: 1, TTL: -time.Second},
-	} {
-		if _, err := gausstree.New(2, gausstree.Options{Ingest: &bad}); err == nil {
-			t.Errorf("IngestOptions %+v accepted, want error", bad)
+	forEachIngestLayout(t, func(t *testing.T, l ingestLayout) {
+		for _, bad := range []gausstree.IngestOptions{
+			{MergeDistance: 0},
+			{MergeDistance: -1},
+			{MergeDistance: math.Inf(1)},
+			{MergeDistance: 1, TTL: -time.Second},
+		} {
+			if _, err := l.create(2, gausstree.Options{Ingest: &bad}); !errors.Is(err, gausstree.ErrInvalidOptions) {
+				t.Errorf("IngestOptions %+v: err = %v, want errors.Is ErrInvalidOptions", bad, err)
+			}
 		}
-	}
-	// InsertAll bypasses merging even in ingest mode.
-	tree, err := gausstree.New(2, gausstree.Options{Ingest: &gausstree.IngestOptions{MergeDistance: 100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	vs := []gausstree.Vector{
-		gausstree.MustVector(1, []float64{0, 0}, []float64{1, 1}),
-		gausstree.MustVector(2, []float64{0.01, 0}, []float64{1, 1}),
-	}
-	if n, err := tree.InsertAll(vs); err != nil || n != 2 {
-		t.Fatalf("InsertAll = (%d, %v)", n, err)
-	}
-	if tree.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (InsertAll stores verbatim)", tree.Len())
-	}
+		// InsertAll bypasses merging even in ingest mode.
+		tree, err := l.create(2, gausstree.Options{Ingest: &gausstree.IngestOptions{MergeDistance: 100}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tree.Close()
+		vs := []gausstree.Vector{
+			gausstree.MustVector(1, []float64{0, 0}, []float64{1, 1}),
+			gausstree.MustVector(2, []float64{0.01, 0}, []float64{1, 1}),
+		}
+		if n, err := tree.InsertAll(vs); err != nil || n != 2 {
+			t.Fatalf("InsertAll = (%d, %v)", n, err)
+		}
+		if tree.Len() != 2 {
+			t.Fatalf("Len = %d, want 2 (InsertAll stores verbatim)", tree.Len())
+		}
+	})
+}
+
+// TestIngestConcurrentInserts: the merge-ingest bookkeeping is shared by
+// every writer. Concurrent observers of distinct objects, racing queries,
+// must still end with exactly one stored Gaussian per object.
+func TestIngestConcurrentInserts(t *testing.T) {
+	forEachIngestLayout(t, func(t *testing.T, l ingestLayout) {
+		tree, err := l.create(2, gausstree.Options{
+			PageSize: 1024,
+			Ingest:   &gausstree.IngestOptions{MergeDistance: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tree.Close()
+
+		const writers, perWriter, rounds = 4, 2, 25
+		bases := make([]gausstree.Vector, writers*perWriter)
+		for i := range bases {
+			bases[i] = gausstree.MustVector(uint64(i+1), []float64{float64(i) * 100, 0}, []float64{0.5, 0.5})
+		}
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := tree.KMostLikely(bases[0], 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(w)))
+				for round := 0; round < rounds; round++ {
+					for _, b := range bases[w*perWriter : (w+1)*perWriter] {
+						if err := tree.Insert(observe(r, b)); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(stop)
+		readers.Wait()
+
+		if got := tree.Len(); got != len(bases) {
+			t.Fatalf("Len = %d, want %d objects", got, len(bases))
+		}
+		st, _ := tree.IngestStats()
+		if want := uint64(len(bases)*rounds - len(bases)); st.Inserted != uint64(len(bases)) || st.Merged != want {
+			t.Fatalf("stats = %+v, want %d inserted / %d merged", st, len(bases), want)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -22,7 +22,7 @@
 //     paths. A load before the pin can observe a snapshot whose pages the
 //     reclaimer already recycled.
 //   - lockorder: lock acquisitions must follow the documented rank order
-//     Tree.mu/Sharded.mu < Manager.ioMu < Manager.epochMu < Manager.allocMu
+//     index.mu < Manager.ioMu < Manager.epochMu < Manager.allocMu
 //     < shard locks. Shard locks are terminal: nothing may be acquired —
 //     and no pagefile I/O performed — while one is held. Cross-package
 //     calls into pagefile.Manager are resolved through a built-in summary

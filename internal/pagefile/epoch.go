@@ -12,7 +12,8 @@ package pagefile
 // enters a limbo list stamped with the last epoch that referenced it, and
 // only re-enters the allocator once
 //
-//   - no reader pin at or below that epoch remains (snapshot safety), and
+//   - that epoch has ended and no reader pin at or below it remains
+//     (snapshot safety), and
 //   - the page was either allocated after the last commit ("fresh", so the
 //     committed state provably never referenced it) or a commit has landed
 //     since the free (crash safety, the classic shadow-paging condition).
@@ -159,12 +160,20 @@ func (m *Manager) reclaimLocked() []PageID {
 	if len(m.limbo) == 0 {
 		return nil
 	}
-	minPin := m.minPinLocked()
+	// Once a snapshot is published (epoch > 0), a page stamped with the
+	// current epoch may still be referenced by it: a commit can stamp frees
+	// before the writer publishes, and a reader may pin the current epoch
+	// at any moment. Such a page waits for the next advance even when no
+	// reader is pinned.
+	horizon := m.minPinLocked()
+	if m.curEpoch > 0 {
+		horizon = min(horizon, m.curEpoch)
+	}
 	seq := m.metaSeq.Load()
 	var freed []PageID
 	kept := m.limbo[:0]
 	for _, p := range m.limbo {
-		if minPin > p.epoch && (p.fresh || seq > p.seq) {
+		if horizon > p.epoch && (p.fresh || seq > p.seq) {
 			freed = append(freed, p.id)
 		} else {
 			kept = append(kept, p)

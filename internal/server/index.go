@@ -9,10 +9,11 @@ import (
 )
 
 // Index is the uniform index surface the daemon serves. Both public index
-// types satisfy it through the TreeIndex and ShardedIndex adapters, so every
-// handler, the admission controller and the batch executor are written once,
-// engine-agnostically — exactly how the query.Engine interface already
-// unifies the in-process backends one layer below.
+// types satisfy it through the one adapter that TreeIndex and ShardedIndex
+// construct, so every handler, the admission controller and the batch
+// executor are written once, engine-agnostically — exactly how the
+// query.Engine interface already unifies the in-process backends one layer
+// below.
 //
 // The query methods certify probabilities to the index's configured
 // Options.Accuracy; the serving layer adds deadlines on top via ctx.
@@ -59,7 +60,7 @@ type Index interface {
 	// LimboPages is the number of freed pages awaiting epoch reclamation.
 	LimboPages() int
 	// IngestStats reports the online merge-ingest counters; ok is false
-	// when the backend has no ingest accelerator (sharded indexes).
+	// when the index is not in merge-ingest mode (Options.Ingest).
 	IngestStats() (is gausstree.IngestStats, ok bool)
 	// Scrub verifies every reachable page and the write-ahead log's durable
 	// prefix against bit rot and structural damage, rate-limited to
@@ -75,82 +76,71 @@ type Index interface {
 	Close() error
 }
 
-// TreeIndex adapts an unsharded Gauss-tree to the serving surface.
-func TreeIndex(t *gausstree.Tree) Index { return treeIndex{t} }
-
-type treeIndex struct{ t *gausstree.Tree }
-
-func (i treeIndex) Kind() string       { return "tree" }
-func (i treeIndex) LeafFormat() string { return i.t.LeafFormat().String() }
-func (i treeIndex) Dim() int           { return i.t.Dim() }
-func (i treeIndex) Len() int           { return i.t.Len() }
-func (i treeIndex) KMLIQ(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	return i.t.KMLIQContext(ctx, q, k)
+// TreeIndex adapts a Gauss-tree, the single-file one-shard index, to the
+// serving surface.
+func TreeIndex(t *gausstree.Tree) Index {
+	return facadeIndex[gausstree.QueryStats]{t, "tree", func(st gausstree.QueryStats) gausstree.QueryStats { return st }}
 }
-func (i treeIndex) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	return i.t.KMLIQRankedContext(ctx, q, k)
-}
-func (i treeIndex) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error) {
-	return i.t.TIQContext(ctx, q, pTheta)
-}
-func (i treeIndex) Insert(v gausstree.Vector) error              { return i.t.Insert(v) }
-func (i treeIndex) InsertAll(vs []gausstree.Vector) (int, error) { return i.t.InsertAll(vs) }
-func (i treeIndex) Delete(v gausstree.Vector) (bool, error)      { return i.t.Delete(v) }
-func (i treeIndex) IOStats() (pagefile.Stats, error)             { return i.t.Stats() }
-func (i treeIndex) WALStats() (gausstree.WALStats, bool)         { return i.t.WALStats() }
-func (i treeIndex) SnapshotEpoch() uint64                        { return i.t.SnapshotEpoch() }
-func (i treeIndex) PinnedReaders() int                           { return i.t.PinnedReaders() }
-func (i treeIndex) OldestPinnedEpoch() uint64                    { return i.t.OldestPinnedEpoch() }
-func (i treeIndex) LimboPages() int                              { return i.t.LimboPages() }
-func (i treeIndex) IngestStats() (gausstree.IngestStats, bool)   { return i.t.IngestStats() }
-func (i treeIndex) Scrub(ctx context.Context, pps int) (gausstree.ScrubReport, error) {
-	return i.t.Scrub(ctx, gausstree.ScrubOptions{PagesPerSecond: pps})
-}
-func (i treeIndex) Quarantine(cause error) { i.t.Quarantine(cause) }
-func (i treeIndex) Sync() error            { return i.t.Sync() }
-func (i treeIndex) Close() error           { return i.t.Close() }
 
 // ShardedIndex adapts a sharded Gauss-tree to the serving surface; the
 // per-shard statistic breakdown is collapsed into the aggregate QueryStats
 // (the wire format reports the aggregate).
-func ShardedIndex(s *gausstree.Sharded) Index { return shardedIndex{s} }
+func ShardedIndex(s *gausstree.Sharded) Index {
+	return facadeIndex[gausstree.ShardedQueryStats]{s, "sharded", func(st gausstree.ShardedQueryStats) gausstree.QueryStats { return st.Stats }}
+}
 
-type shardedIndex struct{ s *gausstree.Sharded }
+// facade is the public index API both gausstree.Tree and gausstree.Sharded
+// provide; S is the statistics type of their context-aware queries. The
+// methods whose signatures already match Index are promoted to the adapter
+// unchanged.
+type facade[S any] interface {
+	LeafFormat() gausstree.LeafFormat
+	Dim() int
+	Len() int
+	KMLIQContext(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, S, error)
+	KMLIQRankedContext(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, S, error)
+	TIQContext(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, S, error)
+	Insert(v gausstree.Vector) error
+	InsertAll(vs []gausstree.Vector) (int, error)
+	Delete(v gausstree.Vector) (bool, error)
+	Stats() (pagefile.Stats, error)
+	WALStats() (gausstree.WALStats, bool)
+	SnapshotEpoch() uint64
+	PinnedReaders() int
+	OldestPinnedEpoch() uint64
+	LimboPages() int
+	IngestStats() (gausstree.IngestStats, bool)
+	Scrub(ctx context.Context, opts gausstree.ScrubOptions) (gausstree.ScrubReport, error)
+	Quarantine(cause error)
+	Sync() error
+	Close() error
+}
 
-func (i shardedIndex) Kind() string       { return "sharded" }
-func (i shardedIndex) LeafFormat() string { return i.s.LeafFormat().String() }
-func (i shardedIndex) Dim() int           { return i.s.Dim() }
-func (i shardedIndex) Len() int           { return i.s.Len() }
-func (i shardedIndex) KMLIQ(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	ms, st, err := i.s.KMLIQContext(ctx, q, k)
-	return ms, st.Stats, err
+// facadeIndex adapts either public index type to the serving surface.
+type facadeIndex[S any] struct {
+	facade[S]
+	kind  string
+	stats func(S) gausstree.QueryStats
 }
-func (i shardedIndex) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	ms, st, err := i.s.KMLIQRankedContext(ctx, q, k)
-	return ms, st.Stats, err
+
+func (i facadeIndex[S]) Kind() string                     { return i.kind }
+func (i facadeIndex[S]) LeafFormat() string               { return i.facade.LeafFormat().String() }
+func (i facadeIndex[S]) IOStats() (pagefile.Stats, error) { return i.Stats() }
+func (i facadeIndex[S]) KMLIQ(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
+	ms, st, err := i.KMLIQContext(ctx, q, k)
+	return ms, i.stats(st), err
 }
-func (i shardedIndex) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error) {
-	ms, st, err := i.s.TIQContext(ctx, q, pTheta)
-	return ms, st.Stats, err
+func (i facadeIndex[S]) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
+	ms, st, err := i.KMLIQRankedContext(ctx, q, k)
+	return ms, i.stats(st), err
 }
-func (i shardedIndex) Insert(v gausstree.Vector) error              { return i.s.Insert(v) }
-func (i shardedIndex) InsertAll(vs []gausstree.Vector) (int, error) { return i.s.InsertAll(vs) }
-func (i shardedIndex) Delete(v gausstree.Vector) (bool, error)      { return i.s.Delete(v) }
-func (i shardedIndex) IOStats() (pagefile.Stats, error)             { return i.s.Stats() }
-func (i shardedIndex) WALStats() (gausstree.WALStats, bool)         { return i.s.WALStats() }
-func (i shardedIndex) SnapshotEpoch() uint64                        { return i.s.SnapshotEpoch() }
-func (i shardedIndex) PinnedReaders() int                           { return i.s.PinnedReaders() }
-func (i shardedIndex) OldestPinnedEpoch() uint64                    { return i.s.OldestPinnedEpoch() }
-func (i shardedIndex) LimboPages() int                              { return i.s.LimboPages() }
-func (i shardedIndex) IngestStats() (gausstree.IngestStats, bool) {
-	return gausstree.IngestStats{}, false
+func (i facadeIndex[S]) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error) {
+	ms, st, err := i.TIQContext(ctx, q, pTheta)
+	return ms, i.stats(st), err
 }
-func (i shardedIndex) Scrub(ctx context.Context, pps int) (gausstree.ScrubReport, error) {
-	return i.s.Scrub(ctx, gausstree.ScrubOptions{PagesPerSecond: pps})
+func (i facadeIndex[S]) Scrub(ctx context.Context, pps int) (gausstree.ScrubReport, error) {
+	return i.facade.Scrub(ctx, gausstree.ScrubOptions{PagesPerSecond: pps})
 }
-func (i shardedIndex) Quarantine(cause error) { i.s.Quarantine(cause) }
-func (i shardedIndex) Sync() error            { return i.s.Sync() }
-func (i shardedIndex) Close() error           { return i.s.Close() }
 
 // indexEngine adapts the serving surface back onto query.Engine, which lets
 // the batch endpoint reuse query.BatchExecutor's worker pool unchanged. The

@@ -175,6 +175,24 @@ func (e *Engine) Delete(v pfv.Vector) (bool, error) {
 	return false, nil
 }
 
+// Replace swaps one stored copy of old for merged in place (see
+// core.Tree.Replace) and reports whether old was found. It is routed like
+// Delete: with a deterministic partitioner only old's owning shard is
+// probed; otherwise shards are probed in order. merged must keep old's id,
+// so that a later Delete of merged routes to the shard that holds it.
+func (e *Engine) Replace(old, merged pfv.Vector) (bool, error) {
+	if e.part.Deterministic() {
+		return e.trees[e.part.Place(old, len(e.trees))].Replace(old, merged)
+	}
+	for _, t := range e.trees {
+		found, err := t.Replace(old, merged)
+		if err != nil || found {
+			return found, err
+		}
+	}
+	return false, nil
+}
+
 // ForEach visits every stored vector, shard by shard.
 func (e *Engine) ForEach(fn func(pfv.Vector) error) error {
 	for _, t := range e.trees {

@@ -257,6 +257,43 @@ func TestShardedMutationsAndDelete(t *testing.T) {
 	}
 }
 
+// TestReplaceRouting: Replace swaps a stored vector on whichever shard holds
+// it under both partitioners, the replacement stays deletable through the
+// normal routing, and a second Replace of the gone vector reports a miss.
+func TestReplaceRouting(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	vs := clustered(rng, 60, 2, 3)
+	for _, part := range []Partitioner{HashByID(), RoundRobin(0)} {
+		trees := make([]*core.Tree, 3)
+		for i := range trees {
+			trees[i] = newTree(t, 2, 1024)
+		}
+		e, err := New(trees, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.InsertAll(vs); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs[:10] {
+			merged := pfv.MustNew(v.ID, []float64{v.Mean[0] + 0.01, v.Mean[1]}, v.Sigma)
+			found, err := e.Replace(v, merged)
+			if err != nil || !found {
+				t.Fatalf("%s: Replace(%d) = (%v, %v), want (true, nil)", part.Name(), v.ID, found, err)
+			}
+			if found, err := e.Replace(v, merged); err != nil || found {
+				t.Fatalf("%s: second Replace(%d) = (%v, %v), want (false, nil)", part.Name(), v.ID, found, err)
+			}
+			if found, _ := e.Delete(merged); !found {
+				t.Fatalf("%s: replaced vector %d not deletable at its routed shard", part.Name(), v.ID)
+			}
+		}
+		if e.Len() != len(vs)-10 {
+			t.Fatalf("%s: Len = %d, want %d", part.Name(), e.Len(), len(vs)-10)
+		}
+	}
+}
+
 // TestPartitioners: placement invariants of both policies.
 func TestPartitioners(t *testing.T) {
 	h := HashByID()

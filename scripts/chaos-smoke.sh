@@ -94,7 +94,7 @@ read_ok() {
   local out
   for _ in 1 2 3 4 5; do
     if out=$("$tmp/bin/gausscli" -addr "$addr" -kmliq "$q" -k 3 2>&1) \
-      && echo "$out" | grep -q 'certified \['; then
+      && grep -q 'certified \[' <<<"$out"; then
       return 0
     fi
     sleep 0.05
@@ -119,9 +119,9 @@ for sched in \
   saw_reject=""
   for _ in $(seq 20); do
     out=$(insert "$id")
-    if echo "$out" | grep -q '"inserted":1'; then
+    if grep -q '"inserted":1' <<<"$out"; then
       acked="$acked $id"
-    elif echo "$out" | grep -q '"code":'; then
+    elif grep -q '"code":' <<<"$out"; then
       saw_reject=1
     else
       echo "insert returned an untyped failure: $out" >&2; exit 1

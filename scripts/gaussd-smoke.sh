@@ -54,12 +54,12 @@ q=$(sed -n 2p "$tmp/queries.csv" | cut -d, -f2-)
 echo "# k-MLIQ via gausscli -addr"
 out=$("$tmp/bin/gausscli" -addr "$addr" -kmliq "$q" -k 3)
 echo "$out"
-echo "$out" | grep -q 'certified \[' || { echo "k-MLIQ returned no certified results" >&2; exit 1; }
+grep -q 'certified \[' <<<"$out" || { echo "k-MLIQ returned no certified results" >&2; exit 1; }
 
 echo "# TIQ via gausscli -addr"
 out=$("$tmp/bin/gausscli" -addr "$addr" -tiq "$q" -p 0.01)
 echo "$out"
-echo "$out" | grep -q 'certified \[' || { echo "TIQ returned no certified results" >&2; exit 1; }
+grep -q 'certified \[' <<<"$out" || { echo "TIQ returned no certified results" >&2; exit 1; }
 
 echo "# insert storm with concurrent reads"
 # Hammer /v1/insert from the background while reads keep flowing: the
@@ -83,14 +83,14 @@ for fam in gaussd_http_requests_total gaussd_request_seconds_bucket \
            gaussd_inflight_requests gausstree_wal_fsyncs_total \
            gausstree_snapshot_epoch gausstree_pagefile_logical_reads_total \
            gaussd_build_info; do
-  echo "$metrics" | grep -q "^$fam" \
+  grep -q "^$fam" <<<"$metrics" \
     || { echo "/metrics mid-storm is missing $fam" >&2; exit 1; }
 done
 
 reads=0
 while kill -0 "$storm" 2>/dev/null; do
   out=$("$tmp/bin/gausscli" -addr "$addr" -kmliq "$q" -k 3)
-  echo "$out" | grep -q 'certified \[' \
+  grep -q 'certified \[' <<<"$out" \
     || { echo "read failed during insert storm" >&2; exit 1; }
   reads=$((reads + 1))
 done
@@ -104,12 +104,12 @@ echo "# storm done: 120 inserts acknowledged ($inserted confirmed), $reads reads
 echo "# delete through the non-blocking path"
 del=$(curl -fsS "http://$addr/v1/delete" \
   -d '{"vector":{"id":900001,"mean":[0.11,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0],"sigma":[0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05]}}')
-echo "$del" | grep -q '"found":true' || { echo "delete did not find the stored vector" >&2; exit 1; }
+grep -q '"found":true' <<<"$del" || { echo "delete did not find the stored vector" >&2; exit 1; }
 
 echo "# /v1/stats exposes WAL and snapshot state"
 stats=$(curl -fsS "http://$addr/v1/stats")
-echo "$stats" | grep -q '"fsyncs":' || { echo "stats missing wal fsyncs" >&2; exit 1; }
-echo "$stats" | grep -q '"mean_group_size":' || { echo "stats missing group-commit size" >&2; exit 1; }
+grep -q '"fsyncs":' <<<"$stats" || { echo "stats missing wal fsyncs" >&2; exit 1; }
+grep -q '"mean_group_size":' <<<"$stats" || { echo "stats missing group-commit size" >&2; exit 1; }
 epoch=$(echo "$stats" | grep -o '"snapshot_epoch":[0-9]*' | cut -d: -f2)
 [ -n "$epoch" ] && [ "$epoch" -ge 121 ] || { echo "snapshot_epoch $epoch did not advance past the storm" >&2; exit 1; }
 
@@ -136,8 +136,8 @@ echo "# a deliberately slow batch lands in the slow-query log"
 item='{"kind":"kmliq","query":{"id":0,"mean":[0.11,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0],"sigma":[0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05,0.05]},"k":3}'
 items=$item
 for _ in $(seq 99); do items="$items,$item"; done
-curl -fsS "http://$addr/v1/batch" -d "{\"queries\":[$items],\"trace_id\":\"smoke-slow-batch\"}" \
-  | grep -q '"trace_id":"smoke-slow-batch"' \
+batch=$(curl -fsS "http://$addr/v1/batch" -d "{\"queries\":[$items],\"trace_id\":\"smoke-slow-batch\"}")
+grep -q '"trace_id":"smoke-slow-batch"' <<<"$batch" \
   || { echo "batch response did not echo the trace id" >&2; exit 1; }
 grep -q '"trace_id":"smoke-slow-batch"' "$tmp/slow.log" \
   || { echo "slow batch missing from the slow-query log" >&2; exit 1; }

@@ -28,7 +28,7 @@ type ScrubOptions struct {
 // ScrubReport summarizes one integrity pass.
 type ScrubReport struct {
 	// Pages is the number of index pages read from the backend and verified
-	// (CRC trailer plus node decode), summed across shards for Sharded.
+	// (CRC trailer plus node decode), summed across shards.
 	Pages int
 	// WALRecords is the number of durable write-ahead-log records whose
 	// checksums were verified (0 for memory-backed indexes).
@@ -37,67 +37,46 @@ type ScrubReport struct {
 	Elapsed time.Duration
 }
 
-// Scrub verifies the index's persisted state end to end: every page
-// reachable from the current published snapshot is re-read from the storage
-// backend — bypassing the buffer cache, so file backends re-verify the CRC
-// trailer on a physical read — and decoded as a node, and the durable
-// prefix of the write-ahead log is re-checksummed. Damage is reported
-// wrapping ErrCorrupt and the pass aborts on the first damaged page.
+// Scrub verifies the index's persisted state end to end, shard by shard
+// (one snapshot per shard) under one shared rate limit: every page
+// reachable from the current published snapshot is re-read from the
+// storage backend — bypassing the buffer cache, so file backends re-verify
+// the CRC trailer on a physical read — and decoded as a node, and the
+// durable prefix of the write-ahead log is re-checksummed. Damage is
+// reported wrapping ErrCorrupt and the pass aborts on the first damaged
+// page.
 //
 // The walk pins a snapshot exactly like a query: it runs concurrently with
-// mutations, takes no tree lock and charges nothing to the I/O counters.
+// mutations, takes no writer lock and charges nothing to the I/O counters.
 // gaussd runs Scrub periodically in the background (-scrub-interval) and
 // enters degraded mode when it fails.
-func (t *Tree) Scrub(ctx context.Context, opts ScrubOptions) (ScrubReport, error) {
-	st, err := t.state()
-	if err != nil {
-		return ScrubReport{}, err
-	}
-	start := time.Now()
-	rep, err := st.tree.Scrub(ctx, newScrubThrottle(ctx, opts.PagesPerSecond))
-	out := ScrubReport{Pages: rep.Pages, Elapsed: time.Since(start)}
-	if err != nil {
-		return out, scrubErr(err)
-	}
-	if st.wal != nil {
-		n, werr := st.wal.CheckIntegrity()
-		out.WALRecords = n
-		out.Elapsed = time.Since(start)
-		if werr != nil {
-			return out, scrubWALErr(werr)
-		}
-	}
-	return out, nil
-}
-
-// Scrub verifies every shard in turn (one snapshot per shard) under one
-// shared rate limit; see Tree.Scrub.
-func (s *Sharded) Scrub(ctx context.Context, opts ScrubOptions) (ScrubReport, error) {
-	st, err := s.state()
+func (x *index) Scrub(ctx context.Context, opts ScrubOptions) (ScrubReport, error) {
+	st, err := x.state()
 	if err != nil {
 		return ScrubReport{}, err
 	}
 	start := time.Now()
 	throttle := newScrubThrottle(ctx, opts.PagesPerSecond)
 	var out ScrubReport
-	for i := 0; i < st.eng.NumShards(); i++ {
-		rep, err := st.eng.Tree(i).Scrub(ctx, throttle)
-		out.Pages += rep.Pages
-		if err != nil {
-			out.Elapsed = time.Since(start)
-			return out, fmt.Errorf("shard %d: %w", i, scrubErr(err))
-		}
-		if st.wals[i] != nil {
-			n, werr := st.wals[i].CheckIntegrity()
-			out.WALRecords += n
-			if werr != nil {
-				out.Elapsed = time.Since(start)
-				return out, fmt.Errorf("shard %d: %w", i, scrubWALErr(werr))
+	err = func() error {
+		for i, l := range st.wals {
+			rep, err := st.eng.Tree(i).Scrub(ctx, throttle)
+			out.Pages += rep.Pages
+			if err != nil {
+				return st.shardErr(i, scrubErr(err))
+			}
+			if l != nil {
+				n, err := l.CheckIntegrity()
+				out.WALRecords += n
+				if err != nil {
+					return st.shardErr(i, scrubWALErr(err))
+				}
 			}
 		}
-	}
+		return nil
+	}()
 	out.Elapsed = time.Since(start)
-	return out, nil
+	return out, err
 }
 
 // scrubErr maps a core scrub error onto the public error surface: a page
